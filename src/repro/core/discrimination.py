@@ -109,8 +109,6 @@ class MultinomialDiscriminator(Discriminator):
         self,
         *,
         alpha: float = 0.05,
-        max_exact_outcomes: int = 200_000,
-        samples: int = 20_000,
         unseen_pseudocount: float = 0.5,
         min_none_share: float = 0.25,
         cardinality_kernel: float = 0.25,
@@ -125,8 +123,6 @@ class MultinomialDiscriminator(Discriminator):
         if not 0.0 <= cardinality_kernel < 0.5:
             raise ValueError("cardinality_kernel must be in [0, 0.5)")
         self.alpha = alpha
-        self.max_exact_outcomes = max_exact_outcomes
-        self.samples = samples
         self.unseen_pseudocount = unseen_pseudocount
         self.min_none_share = min_none_share
         self.cardinality_kernel = cardinality_kernel
@@ -174,12 +170,7 @@ class MultinomialDiscriminator(Discriminator):
             smoothed = smoothed + unseen * self.unseen_pseudocount
         pi = counts_to_probabilities(smoothed)
         return multinomial_test(
-            pi,
-            query_counts,
-            alpha=self.alpha,
-            max_exact_outcomes=self.max_exact_outcomes,
-            samples=self.samples,
-            rng=self._rng.getrandbits(63),
+            pi, query_counts, alpha=self.alpha, rng=self._rng.getrandbits(63)
         )
 
     def _smooth_ordinal(self, counts: np.ndarray) -> np.ndarray:

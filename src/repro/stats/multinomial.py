@@ -16,11 +16,11 @@ hypothesis of equality is rejected) and ``0`` otherwise.
 
 Paper cross-reference (Mottin et al., EDBT 2018):
 
-* **Section 3.2, the multinomial test** — :func:`multinomial_test`
-  (exact via full outcome enumeration, Monte-Carlo beyond
-  ``max_exact_n``, matching the paper's "in case of large N ... a
-  Montecarlo sampling" note); ``pi`` is the normalized *context*
-  distribution, ``x`` the *query* counts.
+* **Section 3.2, the multinomial test** — :func:`multinomial_test`;
+  ``pi`` is the normalized *context* distribution, ``x`` the *query*
+  counts. The test is exact at the query service's shapes, so the
+  paper's footnote-1 Monte-Carlo sampling runs only for a shape beyond
+  the profile budget (``_PROFILE_BUDGET``).
 * **The MT score** (``1 - Pr_s`` if significant at ``alpha``, else 0) —
   :attr:`MultinomialTestResult.score`; ``alpha = 0.05`` is the paper's
   Section-4 setting, and Figure 9 plots the significance probabilities
@@ -29,17 +29,29 @@ Paper cross-reference (Mottin et al., EDBT 2018):
   :class:`repro.core.discrimination.MultinomialDiscriminator`, which
   runs this test on the instance and cardinality distribution pairs.
 
-The vectorized outcome enumeration (``compositions_array`` + one matmul
-log-pmf pass, PR 2) is a performance reformulation only: it scores the
-same outcome set as the paper's exact test.
+Why the exact test is cheap here: the ``C(N + k - 1, k - 1)`` outcomes
+are never enumerated. Cells with bitwise-equal ``pi`` are exchangeable,
+so an outcome's probability depends only on how each equal-``pi`` group
+*partitions* its share of the mass. The exact core sums over those
+partition profiles, each weighted by the number of outcomes it stands
+for: small shapes in one vectorized pass over a cached per-shape table,
+larger ones by folding the groups into two halves and answering one
+half against the other, sorted by log-probability with per-mass prefix
+sums, through ``searchsorted`` (a meet in the middle). Both score the
+same outcome set, with the same ``LOG_TIE_TOLERANCE`` cut, as full
+enumeration (:func:`_iter_compositions`, :func:`compositions_array`);
+``tests/test_multinomial_exact.py`` pins them to 1e-12.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import threading
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,7 +77,10 @@ class MultinomialTestResult:
     alpha: float
     n: int
     support: int
-    method: str  # "exact" | "montecarlo" | "degenerate"
+    #: "exact" | "montecarlo" | "degenerate", or "uninformative" when
+    #: :class:`~repro.core.discrimination.MultinomialDiscriminator` skips an
+    #: identity-free channel without testing it
+    method: str
 
     @property
     def significant(self) -> bool:
@@ -140,42 +155,6 @@ def _iter_compositions(n: int, k: int):
             yield [first] + rest
 
 
-#: Rows per vectorized enumeration batch — bounds the exact test's
-#: transient memory at ~batch * k * 8 bytes per in-flight test (the query
-#: service runs several tests concurrently).
-_COMPOSITION_BATCH_ROWS = 32_768
-
-
-def _composition_batches(n: int, k: int, batch_rows: int = _COMPOSITION_BATCH_ROWS):
-    """Yield the compositions of ``n`` into ``k`` cells as ``(rows, k)`` matrices.
-
-    Stars and bars: each composition corresponds to a choice of ``k - 1``
-    bar positions among ``n + k - 1`` slots; ``itertools.combinations``
-    enumerates the choices at C speed and the gap widths between bars are
-    the counts. Rows appear in the same lexicographic order as
-    :func:`_iter_compositions`.
-    """
-    if n < 0 or k < 1:
-        raise StatisticsError(f"invalid composition parameters n={n}, k={k}")
-    if k == 1:
-        yield np.array([[n]], dtype=np.int64)
-        return
-    bars_iter = itertools.combinations(range(n + k - 1), k - 1)
-    while True:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(bars_iter, batch_rows)),
-            dtype=np.int64,
-        )
-        if flat.size == 0:
-            return
-        bars = flat.reshape(-1, k - 1)
-        padded = np.empty((bars.shape[0], k + 1), dtype=np.int64)
-        padded[:, 0] = -1
-        padded[:, 1:-1] = bars
-        padded[:, -1] = n + k - 1
-        yield np.diff(padded, axis=1) - 1
-
-
 def compositions_array(n: int, k: int) -> np.ndarray:
     """All compositions of ``n`` into ``k`` cells as one ``(C, k)`` matrix.
 
@@ -207,73 +186,357 @@ def compositions_array(n: int, k: int) -> np.ndarray:
     return tables[-1]
 
 
-#: Outcome tables with more int64 elements than this are streamed in
-#: batches instead of materialized and cached (4M elements = 32 MB).
-_OUTCOME_TABLE_MAX_ELEMENTS = 4_000_000
+#: Work cap of one exact test: a split plan whose two halves together
+#: count more profiles than this, or that needs a partition table of more
+#: than 1/32 of it (1M rows, ~32 MB), is not run, and
+#: :func:`multinomial_test` falls back to Monte Carlo. Resident memory is
+#: far smaller than the work (see :func:`_meet_in_the_middle`).
+_PROFILE_BUDGET = 32_000_000
+
+#: Shapes with at most this many whole-outcome profiles, over at most
+#: 16 groups (so a cached table stays under ~600 KB), are answered from
+#: one cached table in a single vectorized pass; larger ones are split
+#: into two halves.
+_NO_SPLIT_PROFILES = 4_096
+
+#: Streamed-half rows answered per ``searchsorted`` round.
+_STREAM_CHUNK = 1 << 16
+
+_log_factorial_table = np.zeros(1)
 
 
-class _OutcomeTableCache:
-    """LRU cache of ``(compositions, row lgamma sums)`` per ``(n, k)``.
+def _log_factorials(upto: int) -> np.ndarray:
+    """``log(i!)`` for ``i = 0 .. upto`` (at least), grown on demand."""
+    global _log_factorial_table
+    table = _log_factorial_table
+    if table.size <= upto:
+        size = max(upto + 1, 2 * table.size)
+        table = np.array([math.lgamma(i + 1) for i in range(size)])
+        table.setflags(write=False)
+        _log_factorial_table = table
+    return table
 
-    Both arrays depend only on ``(n, k)`` — not on ``pi`` — and the query
-    workload hits a handful of shapes over and over (``n`` = query
-    observations, ``k`` = support cells), so a long-running service
-    amortizes the interpreter-bound enumeration across requests; the
-    remaining per-call work (one matmul, one compare, one exp-sum) runs
-    in GIL-releasing numpy kernels, which is what lets the query engine's
-    thread pool scale. Eviction is *byte-budgeted* (total elements, not
-    entry count): many small tables or a few big ones, never an unbounded
-    aggregate. Arrays are published read-only because they are shared
-    across threads.
+
+class _PartitionTable(NamedTuple):
+    """The partitions of every mass ``m <= n`` into at most ``parts`` parts.
+
+    One row per partition, ascending by mass; rows of mass ``m`` are
+    ``offsets[m]:offsets[m + 1]``. ``lg`` is ``sum(log(part!))`` over the
+    parts, ``lg_mult`` adds ``sum(log(mult!))`` over the multiplicities
+    of the distinct part values, ``length`` counts the parts. A group of
+    ``s >= length`` exchangeable cells realizes a partition in
+    ``s! / ((s - length)! * prod(mult!))`` ways.
     """
 
-    def __init__(self, budget_elements: int = 16_000_000) -> None:  # ~128 MB
-        self.budget_elements = budget_elements
-        self._entries: "dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]" = {}
-        self._elements = 0
+    mass: np.ndarray
+    lg: np.ndarray
+    lg_mult: np.ndarray
+    length: np.ndarray
+    offsets: np.ndarray
+
+    def weights(self, size: int) -> np.ndarray:
+        """Per row: log(arrangements in a group of ``size`` cells) - ``lg``."""
+        log_fact = _log_factorials(size)
+        return log_fact[size] - log_fact[size - self.length] - self.lg_mult
+
+
+class _ProfileTable(NamedTuple):
+    """Every way ``n`` observations split over equal-``pi`` groups of the
+    given sizes, each group's share refined into a partition.
+
+    ``masses[r, g]`` is group ``g``'s mass in profile ``r``, so with
+    ``log_p`` the groups' log-probabilities the profile's log-pmf minus
+    ``log(n!)`` is ``masses @ log_p - lg``, and the log of its total
+    probability (all the outcomes it stands for) is
+    ``masses @ log_p + weight``.
+    """
+
+    masses: np.ndarray
+    lg: np.ndarray
+    weight: np.ndarray
+
+
+def _partition_table(n: int, parts: int) -> _PartitionTable:
+    """Build the table one part value at a time (``1..n``, any multiplicity)."""
+    log_fact = _log_factorials(n)
+    mass = np.zeros(1, dtype=np.int64)
+    length = np.zeros(1, dtype=np.int64)
+    lg = np.zeros(1)
+    lg_mult = np.zeros(1)
+    for value in range(1, n + 1):
+        blocks = [(mass, length, lg, lg_mult)]
+        for copies in range(1, n // value + 1):
+            keep = (mass <= n - copies * value) & (length <= parts - copies)
+            if not keep.any():
+                break
+            lg_part = copies * log_fact[value]
+            blocks.append((
+                mass[keep] + copies * value,
+                length[keep] + copies,
+                lg[keep] + lg_part,
+                lg_mult[keep] + (lg_part + log_fact[copies]),
+            ))
+        mass, length, lg, lg_mult = (np.concatenate(column) for column in zip(*blocks))
+    order = np.argsort(mass, kind="stable")
+    mass, lg, lg_mult, length = (a[order] for a in (mass, lg, lg_mult, length))
+    return _PartitionTable(mass, lg, lg_mult, length, np.searchsorted(mass, np.arange(n + 2)))
+
+
+def _pairs(mass: np.ndarray, offsets: np.ndarray, n: int, *, exact: bool):
+    """``(rows, cols)`` joining each profile to every table row whose mass
+    brings the total to ``<= n`` (``== n`` when ``exact``)."""
+    room = n - mass
+    hi = offsets[room + 1]
+    lo = offsets[room] if exact else np.zeros_like(hi)
+    counts = hi - lo
+    rows = np.repeat(np.arange(counts.size), counts)
+    cols = np.arange(rows.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return rows, cols
+
+
+@functools.lru_cache(maxsize=1024)
+def _partition_counts(n: int, parts: int) -> np.ndarray:
+    """Partitions of each mass ``m <= n`` into at most ``parts`` parts.
+
+    The standard recurrence over part sizes (a partition into at most
+    ``parts`` parts is the conjugate of one with parts at most
+    ``parts``), in floats: plans are priced before any table is built.
+    """
+    counts = [1.0] + [0.0] * n
+    for size in range(1, parts + 1):
+        for m in range(size, n + 1):
+            counts[m] += counts[m - size]
+    out = np.array(counts)
+    out.setflags(write=False)
+    return out
+
+
+def _profile_counts(sizes, n: int) -> np.ndarray:
+    """Per-mass profile counts of groups of ``sizes`` cells, masses ``<= n``."""
+    counts = np.eye(1, n + 1)[0]
+    for size in sizes:
+        counts = np.convolve(counts, _partition_counts(n, min(size, n)))[: n + 1]
+    return counts
+
+
+def _profile_table(n: int, sizes: "tuple[int, ...]") -> _ProfileTable:
+    """Fold the groups' partition tables into whole-outcome profiles."""
+    columns: "list[np.ndarray]" = []
+    total = np.zeros(1, dtype=np.int64)
+    lg = np.zeros(1)
+    weight = np.zeros(1)
+    for index, size in enumerate(sizes):
+        table = _partitions(n, min(size, n))
+        rows, cols = _pairs(total, table.offsets, n, exact=index == len(sizes) - 1)
+        columns = [column[rows] for column in columns] + [table.mass[cols]]
+        total = total[rows] + table.mass[cols]
+        lg = lg[rows] + table.lg[cols]
+        weight = weight[rows] + table.weights(size)[cols]
+    masses = np.stack(columns, axis=1).astype(np.float64)
+    return _ProfileTable(masses, lg, weight + math.lgamma(n + 1))
+
+
+class _TableCache:
+    """Byte-budgeted LRU of read-only tables shared across threads."""
+
+    def __init__(self, budget_bytes: int = 32 << 20) -> None:
+        self.budget_bytes = budget_bytes
+        self._entries: dict = {}
+        self._bytes = 0
         self._lock = threading.Lock()
 
-    def get(self, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        key = (n, k)
+    def get(self, key):
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._entries.pop(key, None)
             if entry is not None:
-                # dicts preserve insertion order; re-insert = LRU refresh
-                del self._entries[key]
-                self._entries[key] = entry
-                return entry
-        outcomes = compositions_array(n, k)
-        lgamma_rows = _lgamma_rows(outcomes)
-        outcomes.setflags(write=False)
-        lgamma_rows.setflags(write=False)
-        entry = (outcomes, lgamma_rows)
+                self._entries[key] = entry  # re-insert = LRU refresh
+            return entry
+
+    def put(self, key, entry):
+        """Insert ``entry`` (unless a racing builder won) and return the cached one."""
+        for array in entry:
+            array.setflags(write=False)
         with self._lock:
-            if key not in self._entries:  # racing builders: first one wins
+            if key not in self._entries:
                 self._entries[key] = entry
-                self._elements += outcomes.size
-                while self._elements > self.budget_elements and len(self._entries) > 1:
-                    old_key = next(iter(self._entries))
-                    old_outcomes, _ = self._entries.pop(old_key)
-                    self._elements -= old_outcomes.size
+                self._bytes += sum(array.nbytes for array in entry)
+                while self._bytes > self.budget_bytes and len(self._entries) > 1:
+                    evicted = self._entries.pop(next(iter(self._entries)))
+                    self._bytes -= sum(array.nbytes for array in evicted)
             return self._entries[key]
 
 
-_outcome_tables = _OutcomeTableCache()
+_tables = _TableCache()
 
 
-def _cached_outcome_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    return _outcome_tables.get(n, k)
+def _partitions(n: int, parts: int) -> _PartitionTable:
+    key = ("partitions", n, parts)
+    return _tables.get(key) or _tables.put(key, _partition_table(n, parts))
 
 
-def _log_pmf_rows(pi: np.ndarray, outcomes: np.ndarray, n: int) -> np.ndarray:
-    """Row-wise ``log Pr(X = outcome)`` for ``X ~ Mult(n, pi)``, ``pi > 0``.
+def _cached_outcome_table(n: int, sizes: "tuple[int, ...]") -> "_ProfileTable | None":
+    """The shared profile table of ``n`` observations over groups of
+    ``sizes`` cells; ``None`` for a shape too large for one table (see
+    ``_NO_SPLIT_PROFILES``).
 
-    One lgamma-table lookup plus a matmul per batch — the numpy work
-    releases the GIL, which is what lets the query service's thread pool
-    scale the discrimination phase across requests.
+    Keyed by the shape alone (not by ``pi``), and the partition tables it
+    is folded from by ``(n, min(s, n))``, so a long-running service
+    builds each once.
     """
-    log_pi = np.log(pi)
-    return math.lgamma(n + 1) + outcomes @ log_pi - _lgamma_rows(outcomes)
+    key = ("profiles", n, sizes)
+    table = _tables.get(key)
+    if table is None:
+        if len(sizes) > 16 or _profile_counts(sizes, n)[n] > _NO_SPLIT_PROFILES:
+            return None
+        table = _tables.put(key, _profile_table(n, sizes))
+    return table
+
+
+def _group_profiles(n: int, log_p: float, size: int):
+    """One group's ``(mass, term, weighted, offsets)`` partition rows.
+
+    ``term`` is the group's share of an outcome's log-pmf minus
+    ``log(n!)``; ``weighted`` adds the log of its arrangement count.
+    """
+    table = _partitions(n, min(size, n))
+    scaled = table.mass * log_p
+    return table.mass, scaled - table.lg, scaled + table.weights(size), table.offsets
+
+
+def _empty_group(n: int):
+    """The one-row group of mass 0 that stands in for an empty half."""
+    offsets = np.ones(n + 2, dtype=np.int64)
+    offsets[0] = 0
+    return np.zeros(1, dtype=np.int64), np.zeros(1), np.zeros(1), offsets
+
+
+def _fold_all(groups, n: int):
+    """``(mass, term, weighted, offsets)`` of every combination of the
+    groups' rows with total mass ``<= n``, sorted by mass."""
+    mass, term, weighted = np.zeros(1, dtype=np.int64), np.zeros(1), np.zeros(1)
+    for g_mass, g_term, g_weighted, offsets in groups:
+        rows, cols = _pairs(mass, offsets, n, exact=False)
+        mass = mass[rows] + g_mass[cols]
+        term = term[rows] + g_term[cols]
+        weighted = weighted[rows] + g_weighted[cols]
+    order = np.argsort(mass, kind="stable")
+    mass = mass[order]
+    return mass, term[order], weighted[order], np.searchsorted(mass, np.arange(n + 2))
+
+
+def _rows_of_mass(stem, group, target: int, chunk: "int | None" = None):
+    """Yield ``(term, weighted)`` of every ``stem`` x ``group`` combination
+    of total mass ``target``, in pieces of about ``chunk`` rows."""
+    mass, term, weighted, edges = stem
+    _, g_term, g_weighted, offsets = group
+    stop = int(edges[target + 1])  # stem rows light enough to reach target
+    room = target - mass[:stop]
+    ends = np.cumsum(offsets[room + 1] - offsets[room])
+    start = 0
+    while start < stop:
+        end = stop
+        if chunk is not None:
+            base = int(ends[start - 1]) if start else 0
+            end = max(start + 1, int(np.searchsorted(ends, base + chunk, side="right")))
+        rows, cols = _pairs(mass[start:end], offsets, target, exact=True)
+        rows += start
+        yield term[rows] + g_term[cols], weighted[rows] + g_weighted[cols]
+        start = end
+
+
+def _plan(sizes, n: int):
+    """Split the groups into two halves for :func:`_meet_in_the_middle`.
+
+    Greedy on the partition-count polynomials truncated at ``n``: each
+    group, largest first, joins the half whose profile count it leaves
+    smaller. Returns the halves as group indices, each with its largest
+    group last (the one joined mass by mass), and their per-mass profile
+    counts.
+    """
+    halves: "tuple[list, list]" = ([], [])
+    counts = [np.eye(1, n + 1)[0], np.eye(1, n + 1)[0]]
+    for index in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        rows = _partition_counts(n, min(sizes[index], n))
+        grown = [np.convolve(count, rows)[: n + 1] for count in counts]
+        side = int(grown[1].sum() < grown[0].sum())
+        halves[side].insert(0, index)
+        counts[side] = grown[side]
+    return halves, counts
+
+
+def _meet_in_the_middle(groups, halves, counts, n: int, bound: float) -> float:
+    """Answer one half against the other, one mass split at a time.
+
+    For each split ``(m, n - m)`` the side with fewer profiles of its
+    mass is built whole and sorted by term, with a prefix sum of its
+    probabilities shifted by the segment's largest weight (one global
+    cumsum minus offsets would lose ~1e-5 relative accuracy). The other
+    side is streamed in chunks; each of its profiles needs one
+    ``searchsorted`` for ``bound - term``. Only the halves' stems (all
+    groups but the last), one sorted segment and one chunk are ever
+    resident.
+    """
+    log_n_fact = math.lgamma(n + 1)
+    sides = []
+    for half in halves:
+        *head, last = [groups[index] for index in half] or [_empty_group(n)]
+        sides.append((_fold_all(head, n), last))
+    total = 0.0
+    for m in range(n + 1):
+        targets = (m, n - m)
+        if not counts[0][m] or not counts[1][n - m]:
+            continue
+        small = int(counts[1][n - m] < counts[0][m])
+        s_term, s_weighted = next(_rows_of_mass(*sides[small], targets[small]))
+        order = np.argsort(s_term)
+        s_term = s_term[order]
+        s_weighted = s_weighted[order]
+        shift = float(s_weighted.max())
+        prefix = np.zeros(s_term.size + 1)
+        np.cumsum(np.exp(s_weighted - shift), out=prefix[1:])
+        large = 1 - small
+        for term, weighted in _rows_of_mass(*sides[large], targets[large], _STREAM_CHUNK):
+            index = np.searchsorted(s_term, bound - term, side="right")
+            total += float(np.exp(weighted + (shift + log_n_fact)) @ prefix[index])
+    return total
+
+
+def _grouped_p_value(
+    groups: "dict[float, int]", n: int, bound: float, *, split: "bool | None" = None
+) -> "float | None":
+    """Probability that ``n`` draws over ``groups`` (positive ``pi`` value
+    -> number of cells carrying it) land on an outcome whose log-pmf
+    minus ``log(n!)`` is ``<= bound``.
+
+    Cells with bitwise-equal ``pi`` are exchangeable, so an outcome's
+    probability depends only on how each equal-``pi`` group partitions
+    its mass: the sum runs over partition profiles weighted by their
+    arrangement counts, never over the ``C(n + k - 1, k - 1)`` outcomes.
+    Small shapes take one pass over a cached whole-outcome table, larger
+    ones the meet-in-the-middle split; ``split`` forces one (for tests).
+    ``None`` means the split plan exceeds :data:`_PROFILE_BUDGET`.
+    """
+    # Groups ordered by size: equal-size groups are interchangeable, so
+    # the shape key ignores which pi value each one carries.
+    ordered = sorted(groups.items(), key=itemgetter(1))
+    sizes = tuple(size for _, size in ordered)
+    log_p = np.log([value for value, _ in ordered])
+    table = None
+    if split is None:
+        table = _cached_outcome_table(n, sizes)
+    elif not split:
+        table = _profile_table(n, sizes)
+    if table is not None:
+        scaled = table.masses @ log_p
+        return float(np.exp(scaled + table.weight) @ (scaled - table.lg <= bound))
+    halves, counts = _plan(sizes, n)
+    widest = _partition_counts(n, min(sizes[-1], n)).sum()
+    if counts[0].sum() + counts[1].sum() > _PROFILE_BUDGET or widest > _PROFILE_BUDGET / 32:
+        return None
+    profiles = [
+        _group_profiles(n, log, size) for log, size in zip(log_p.tolist(), sizes)
+    ]
+    return _meet_in_the_middle(profiles, halves, counts, n, bound)
 
 
 def exact_multinomial_test(
@@ -282,17 +545,17 @@ def exact_multinomial_test(
     *,
     alpha: float = 0.05,
 ) -> MultinomialTestResult:
-    """Enumerate the full outcome space and sum probabilities ``<= Pr(x)``.
+    """Sum the probabilities of every outcome at most as likely as ``x``.
 
-    Cells with ``pi == 0`` are excluded from enumeration: any outcome
-    placing counts there has probability zero and cannot contribute to
-    ``Pr_s``. If the *observed* vector places counts on a zero cell,
+    Cells with ``pi == 0`` are left out of the sum: any outcome placing
+    counts there has probability zero and cannot contribute to ``Pr_s``.
+    If the *observed* vector places counts on a zero cell,
     ``Pr(x) = 0`` and ``Pr_s = 0`` (maximal significance) — the "query
     exhibits a value the context never shows" case.
 
-    The outcome space is materialized as one matrix
-    (:func:`compositions_array`) and scored in a single vectorized
-    log-pmf pass instead of an interpreted per-outcome loop.
+    Raises :class:`~repro.errors.StatisticsError` for a shape whose
+    profile plan exceeds ``_PROFILE_BUDGET`` (:func:`multinomial_test`
+    answers those by Monte Carlo).
     """
     pi_arr, x_arr = _validate(np.asarray(pi), np.asarray(x))
     n = int(x_arr.sum())
@@ -301,30 +564,32 @@ def exact_multinomial_test(
         return MultinomialTestResult(1.0, alpha, 0, pi_arr.size, "degenerate")
     if ((pi_arr == 0) & (x_arr > 0)).any():
         return MultinomialTestResult(0.0, alpha, n, pi_arr.size, "exact")
-    return _exact_validated(pi_arr, x_arr, n, alpha)
+    result = _exact_validated(pi_arr, x_arr, n, alpha)
+    if result is None:
+        raise StatisticsError(
+            f"exact test over n={n}, k={int(np.count_nonzero(pi_arr))} exceeds "
+            f"the {_PROFILE_BUDGET}-profile budget; use multinomial_test"
+        )
+    return result
 
 
 def _exact_validated(
     pi_arr: np.ndarray, x_arr: np.ndarray, n: int, alpha: float
-) -> MultinomialTestResult:
-    """Exact-test core on pre-validated inputs (see :func:`multinomial_test`)."""
-    support = np.flatnonzero(pi_arr > 0)
-    pi_pos = pi_arr[support]
-    x_pos = x_arr[support]
-    log_px = log_multinomial_pmf(pi_pos, x_pos)
-    threshold = log_px + LOG_TIE_TOLERANCE
-    k = int(pi_pos.size)
-    if number_of_compositions(n, k) * k <= _OUTCOME_TABLE_MAX_ELEMENTS:
-        outcomes, lgamma_rows = _cached_outcome_table(n, k)
-        log_py = math.lgamma(n + 1) + outcomes @ np.log(pi_pos) - lgamma_rows
-        selected = log_py[log_py <= threshold]
-        total = float(np.exp(selected).sum())
-    else:  # huge outcome space: stream batches, bounding transient memory
-        total = 0.0
-        for outcomes in _composition_batches(n, k):
-            log_py = _log_pmf_rows(pi_pos, outcomes, n)
-            selected = log_py[log_py <= threshold]
-            total += float(np.exp(selected).sum())
+) -> "MultinomialTestResult | None":
+    """Exact-test core on pre-validated inputs; ``None`` beyond the budget."""
+    pis = pi_arr.tolist()
+    # log Pr(x) - log(n!), the cut every outcome is compared against; the
+    # caller has ruled out counts on zero cells
+    log_px = sum(
+        count * math.log(p) - math.lgamma(count + 1)
+        for p, count in zip(pis, x_arr.tolist())
+        if count
+    )
+    groups = Counter(pis)
+    groups.pop(0.0, None)
+    total = _grouped_p_value(groups, n, log_px + LOG_TIE_TOLERANCE)
+    if total is None:
+        return None
     return MultinomialTestResult(min(total, 1.0), alpha, n, pi_arr.size, "exact")
 
 
@@ -379,26 +644,24 @@ def multinomial_test(
     x: "np.ndarray | list[int]",
     *,
     alpha: float = 0.05,
-    max_exact_outcomes: int = 200_000,
     samples: int = 20_000,
     rng: RandomSource = None,
 ) -> MultinomialTestResult:
-    """Exact test when the outcome space is tractable, else Monte-Carlo.
+    """The exact test, or Monte Carlo for a shape beyond the profile budget.
 
-    The outcome space has ``C(N + k - 1, k - 1)`` points for ``N``
-    observations over ``k`` positive-probability cells; beyond
-    ``max_exact_outcomes`` the Monte-Carlo estimator takes over (the
-    paper's footnote 1).
+    The fallback (``samples`` draws from ``rng``) is the paper's
+    footnote 1; with equal-``pi`` grouping it no longer triggers at the
+    query service's shapes.
     """
     pi_arr, x_arr = _validate(np.asarray(pi), np.asarray(x))
     n = int(x_arr.sum())
-    k = int(np.count_nonzero(pi_arr > 0))
     if n == 0:
         return MultinomialTestResult(1.0, alpha, 0, pi_arr.size, "degenerate")
-    if k == 0 or ((pi_arr == 0) & (x_arr > 0)).any():
+    if ((pi_arr == 0) & (x_arr > 0)).any():
         return MultinomialTestResult(0.0, alpha, n, pi_arr.size, "exact")
-    if number_of_compositions(n, k) <= max_exact_outcomes:
-        return _exact_validated(pi_arr, x_arr, n, alpha)
+    result = _exact_validated(pi_arr, x_arr, n, alpha)
+    if result is not None:
+        return result
     return montecarlo_multinomial_test(
         pi_arr, x_arr, alpha=alpha, samples=samples, rng=rng
     )

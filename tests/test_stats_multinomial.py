@@ -129,13 +129,17 @@ class TestDispatch:
         result = multinomial_test([0.5, 0.5], [3, 1])
         assert result.method == "exact"
 
-    def test_large_support_uses_montecarlo(self):
+    def test_large_support_is_exact(self):
+        # 7.6M outcomes, but one equal-pi group: answered exactly
         pi = [1 / 60] * 60
         x = [0] * 60
         x[0] = 3
         x[1] = 2
         result = multinomial_test(pi, x, samples=2000, rng=4)
-        assert result.method == "montecarlo"
+        assert result.method == "exact"
+        oracle = montecarlo_multinomial_test(pi, x, samples=60_000, rng=4)
+        standard_error = math.sqrt(result.p_value * (1 - result.p_value) / 60_000)
+        assert abs(oracle.p_value - result.p_value) <= 4 * standard_error + 1e-4
 
     def test_significance_flag_respects_alpha(self):
         lenient = multinomial_test([0.5, 0.5], [5, 0], alpha=0.10)
@@ -196,38 +200,3 @@ class TestVectorizedEnumeration:
             compositions_array(-1, 2)
         with pytest.raises(StatisticsError):
             compositions_array(3, 0)
-
-    def test_outcome_table_cache_reuses_arrays(self):
-        from repro.stats.multinomial import _cached_outcome_table
-
-        first = _cached_outcome_table(4, 3)
-        again = _cached_outcome_table(4, 3)
-        assert first[0] is again[0]
-        assert not first[0].flags.writeable  # shared across threads
-
-    def test_streamed_and_cached_paths_agree(self):
-        from repro.stats.multinomial import _composition_batches
-
-        pi = np.array([0.1, 0.2, 0.3, 0.4])
-        x = np.array([3, 0, 1, 1])
-        expected = exact_multinomial_test(pi, x)
-        # force the streaming path by tiny batches
-        streamed = np.concatenate(list(_composition_batches(5, 4, batch_rows=7)))
-        from repro.stats.multinomial import compositions_array
-
-        assert (streamed == compositions_array(5, 4)).all()
-        assert expected.method == "exact"
-
-    def test_outcome_table_cache_respects_budget(self):
-        from repro.stats.multinomial import _OutcomeTableCache
-
-        cache = _OutcomeTableCache(budget_elements=200)
-        first = cache.get(4, 3)  # 15 rows x 3 = 45 elements
-        assert cache.get(4, 3)[0] is first[0]
-        cache.get(5, 3)  # 21 x 3 = 63
-        cache.get(6, 3)  # 28 x 3 = 84
-        cache.get(7, 3)  # 36 x 3 = 108 -> budget exceeded, LRU evicted
-        assert cache._elements <= 200 or len(cache._entries) == 1
-        # evicted entry is rebuilt as a fresh (but equal) array
-        rebuilt = cache.get(4, 3)
-        assert (rebuilt[0] == first[0]).all()
