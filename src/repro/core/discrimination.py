@@ -126,7 +126,9 @@ class MultinomialDiscriminator(Discriminator):
         self.unseen_pseudocount = unseen_pseudocount
         self.min_none_share = min_none_share
         self.cardinality_kernel = cardinality_kernel
-        self._rng = ensure_rng(rng)
+        # Without an ``rng`` the Monte-Carlo fallback seeds itself from each
+        # test's own inputs, so answers never depend on the instance.
+        self._rng = ensure_rng(rng) if rng is not None else None
 
     def _channel(
         self,
@@ -170,7 +172,10 @@ class MultinomialDiscriminator(Discriminator):
             smoothed = smoothed + unseen * self.unseen_pseudocount
         pi = counts_to_probabilities(smoothed)
         return multinomial_test(
-            pi, query_counts, alpha=self.alpha, rng=self._rng.getrandbits(63)
+            pi,
+            query_counts,
+            alpha=self.alpha,
+            rng=self._rng.getrandbits(63) if self._rng is not None else None,
         )
 
     def _smooth_ordinal(self, counts: np.ndarray) -> np.ndarray:

@@ -9,7 +9,9 @@ Paper cross-reference (Mottin et al., EDBT 2018):
 
 * **Problem 1** (find the notable characteristics of ``Q``) —
   :meth:`FindNC.run`, the two-phase pipeline: context selection then
-  per-label discrimination.
+  per-label discrimination. The query service runs it through
+  :func:`answer_batch`, which shares both phases' graph passes across a
+  batch of requests.
 * **Definition 2** (the context ``C``: similar entities, disjoint from
   ``Q``, ``|C| = k``) — the ``context_size`` parameter and the injected
   :class:`~repro.core.context.ContextSelector`.
@@ -41,12 +43,17 @@ from repro.core.discrimination import (
     Discriminator,
     MultinomialDiscriminator,
 )
-from repro.core.distributions import build_all_distributions, build_distributions
+from repro.core.distributions import (
+    build_all_distributions,
+    build_distributions,
+    sweep_counts_many,
+)
 from repro.errors import QueryError
 from repro.graph.labels import SUBCLASS_OF_LABEL, TYPE_LABEL, inverse_label, is_inverse_label
 from repro.graph.model import KnowledgeGraph, NodeRef
 from repro.graph.search import EntityIndex, resolve_node_refs
 from repro.util.rng import RandomSource
+from repro.walk.kernels import active_kernel
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.graph.compiled import CompiledGraph
@@ -293,6 +300,21 @@ class FindNC:
             )
         return self._filter_candidates(labels)
 
+    def candidate_label_mask(self, snapshot: "CompiledGraph") -> np.ndarray:
+        """Boolean mask over ``snapshot``'s label ids admitting the candidates.
+
+        The policy is :meth:`_filter_candidates` run over the label table,
+        so a sweep masked by it (:func:`answer_batch`) drops the excluded
+        and inverse labels' edge rows up front and ``run`` still derives
+        exactly the candidate list an unmasked enumeration would.
+        """
+        table = self._graph._label_table()  # noqa: SLF001 - label ids only grow
+        names = [table.name(label_id) for label_id in range(snapshot.label_count)]
+        admitted = set(self._filter_candidates(names))
+        mask = np.zeros(max(snapshot.label_count, 1), dtype=bool)
+        mask[: len(names)] = [name in admitted for name in names]
+        return mask
+
     def _filter_candidates(self, labels: "list[str]") -> list[str]:
         """Apply the exclusion and inverse-label policy to sorted names."""
         out = []
@@ -432,6 +454,144 @@ class FindNC:
             elapsed_discrimination=elapsed_discrimination,
             notable=notable,
         )
+
+
+@dataclass(frozen=True)
+class WorkerConfig:
+    """The served pipeline's policy: everything but context size and alpha.
+
+    Both query-service executors pass one to :func:`answer_batch` (the
+    process pool ships it with every task; it is tiny and immutable), so
+    thread and process answers come from the same construction.
+    """
+
+    damping: float
+    iterations: int
+    excluded_labels: "frozenset[str] | None"
+    include_inverse_labels: bool
+    none_bucket: bool
+    #: ``sorted(dict.items())`` of the extra :class:`MultinomialDiscriminator`
+    #: keyword arguments — a tuple so the config stays hashable.
+    discriminator_params: "tuple[tuple[str, object], ...]"
+
+    def finder(
+        self,
+        graph: KnowledgeGraph,
+        selector: ContextSelector,
+        context_size: int = 100,
+        alpha: float = 0.05,
+    ) -> FindNC:
+        """The :class:`FindNC` this policy serves ``(context_size, alpha)`` with."""
+        return FindNC(
+            graph,
+            context_selector=selector,
+            discriminator=MultinomialDiscriminator(
+                alpha=alpha, **dict(self.discriminator_params)
+            ),
+            context_size=context_size,
+            excluded_labels=self.excluded_labels,
+            include_inverse_labels=self.include_inverse_labels,
+            none_bucket=self.none_bucket,
+        )
+
+
+def answer_batch(
+    graph: KnowledgeGraph,
+    snapshot: "CompiledGraph",
+    selector: RandomWalkContext,
+    config: WorkerConfig,
+    requests: "Sequence[tuple[Sequence[int], int, float]]",
+    recorder=None,
+) -> list:
+    """Answer ``(query_ids, context_size, alpha)`` requests on one snapshot.
+
+    The query service's one runner: both executors call it, the thread
+    executor with a batch of one. Requests are grouped by context size;
+    each group runs one shared context search
+    (:meth:`~repro.core.context.RandomWalkContext.select_many`) and one
+    fused, candidate-masked distribution sweep
+    (:func:`~repro.core.distributions.sweep_counts_many`) over every
+    member's query and context sets, then each member runs
+    :meth:`FindNC.run` with its context and the sweep injected. If the
+    shared phase raises (say, one member's ids are out of range), the
+    group falls back to a plain ``FindNC.run`` per member, so the failure
+    lands only on the members that caused it.
+
+    Returns one entry per request, in order: its :class:`FindNCResult`,
+    or the exception that member raised. ``recorder`` (a
+    :class:`~repro.service.tracing.WorkerSpanRecorder`, or ``None``)
+    receives the phase spans, each attributed to the members it served:
+    ``worker.ppr`` and ``worker.sweep`` per group, then
+    ``worker.discriminate`` per member — ``worker.execute`` instead when
+    the member ran the plain fallback.
+    """
+    answers: list = [None] * len(requests)
+    groups: "dict[int, list[int]]" = {}
+    for index, (_, context_size, _) in enumerate(requests):
+        groups.setdefault(context_size, []).append(index)
+    label_mask = None
+    for context_size, members in groups.items():
+        try:
+            start = recorder.now() if recorder is not None else 0
+            contexts: list = selector.select_many(
+                [requests[index][0] for index in members], context_size
+            )
+            if recorder is not None:
+                recorder.record(
+                    "worker.ppr",
+                    start,
+                    members=members,
+                    batch_size=len(members),
+                    context_size=context_size,
+                    kernel=active_kernel(),
+                )
+                start = recorder.now()
+            # Query keys are deduped order-preserving, as
+            # ``FindNC.resolve_query`` derives them, so ``run`` hits.
+            node_sets = [
+                tuple(dict.fromkeys(requests[index][0])) for index in members
+            ] + [tuple(context.nodes) for context in contexts]
+            if label_mask is None:
+                label_mask = config.finder(graph, selector).candidate_label_mask(
+                    snapshot
+                )
+            sweep_cache = dict(
+                zip(node_sets, sweep_counts_many(snapshot, node_sets, label_mask))
+            )
+            if recorder is not None:
+                recorder.record(
+                    "worker.sweep",
+                    start,
+                    members=members,
+                    batch_size=len(members),
+                    node_sets=len(node_sets),
+                    kernel=active_kernel(),
+                )
+        except Exception:  # noqa: BLE001 - each member reruns it plainly below
+            contexts, sweep_cache = [None] * len(members), None
+        for index, context in zip(members, contexts):
+            query_ids, _, alpha = requests[index]
+            start = recorder.now() if recorder is not None else 0
+            try:
+                answers[index] = config.finder(
+                    graph, selector, context_size, alpha
+                ).run(
+                    query_ids,
+                    context=context,
+                    snapshot=snapshot,
+                    sweep_cache=sweep_cache,
+                )
+            except Exception as error:  # noqa: BLE001 - the member's own answer
+                answers[index] = error
+            if recorder is not None:
+                recorder.record(
+                    "worker.discriminate" if context is not None else "worker.execute",
+                    start,
+                    members=(index,),
+                    queries=len(query_ids),
+                    kernel=active_kernel(),
+                )
+    return answers
 
 
 def rw_mult(

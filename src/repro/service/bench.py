@@ -694,9 +694,9 @@ def _bench_fault_storm(
         WorkerCrashError,
     )
 
-    # Fault-free reference answers (thread backend; per-request RNG seeds
-    # derive from the version-independent part of the cache key, so these
-    # fingerprints are valid on both registry versions and both backends).
+    # Fault-free reference answers (thread backend; answers draw no
+    # per-request randomness, so these fingerprints are valid on both
+    # registry versions and both backends).
     with NCEngine(
         graph,
         context_size=context_size,

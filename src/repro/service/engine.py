@@ -47,11 +47,15 @@ The engine turns the library pipeline into a servable primitive:
   ``POST /admin/reload`` drive this from a
   :class:`~repro.disk.registry.SnapshotRegistry`.
 
-Determinism: each computation derives its RNG seed from the cache key, so
-identical requests produce identical results whether or not they hit the
-cache — and whichever backend executes them (the worker replicates this
-method's computation exactly; ``tests/test_service_workers.py`` pins
-thread/process parity).
+Determinism: both executors answer through one function,
+:func:`~repro.core.findnc.answer_batch` — the thread executor with a
+batch of one, each worker for every message it receives — and the
+pipeline draws no per-request randomness (the exact multinomial test is
+deterministic, and its rare Monte-Carlo fallback seeds itself from the
+test's own inputs). Identical requests therefore produce identical
+results whether or not they hit the cache, and whichever backend
+executes them (``tests/test_service_workers.py`` pins thread/process
+parity).
 
 Cached :class:`~repro.core.findnc.FindNCResult` objects are shared across
 requests — treat them as read-only.
@@ -59,7 +63,6 @@ requests — treat them as read-only.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import random
 import threading
@@ -70,8 +73,7 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
 
 from repro.core.context import RandomWalkContext
-from repro.core.discrimination import MultinomialDiscriminator
-from repro.core.findnc import FindNC, FindNCResult
+from repro.core.findnc import FindNCResult, WorkerConfig, answer_batch
 from repro.errors import DeadlineExceededError, EngineSaturatedError, QueryError
 from repro.graph.compiled import CompiledGraph
 from repro.graph.model import KnowledgeGraph, NodeRef
@@ -81,7 +83,7 @@ from repro.service import faults
 from repro.service.cache import CacheStats, ResultCache
 from repro.service.metrics import ServiceMetrics
 from repro.service.tracing import Tracer, log_event
-from repro.service.workers import ProcessWorkerPool, WorkerConfig, WorkerCrashError
+from repro.service.workers import ProcessWorkerPool, WorkerCrashError
 
 
 class CircuitBreaker:
@@ -184,6 +186,14 @@ class CircuitBreaker:
             }
 
 
+def _check_overrides(context_size: int, alpha: float) -> None:
+    """Reject a context size or alpha the pipeline cannot serve (HTTP 400)."""
+    if context_size < 1:
+        raise ValueError(f"context_size must be >= 1, got {context_size}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Every :class:`NCEngine` tuning knob, validated in one place.
@@ -220,6 +230,8 @@ class EngineConfig:
     cache_size: int = 256
     max_workers: int = 4
     executor: str = "thread"
+    #: Seeds trace head sampling and crash-retry jitter; answers are
+    #: deterministic and do not depend on it.
     seed: int = 0
     request_timeout: "float | None" = None
     max_pending: "int | None" = None
@@ -248,10 +260,7 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         """Validate every knob; raises ``ValueError`` with a field-named message."""
-        if self.context_size < 1:
-            raise ValueError(
-                f"context_size must be >= 1, got {self.context_size}"
-            )
+        _check_overrides(self.context_size, self.alpha)
         if self.cache_size < 1:
             raise ValueError(f"cache_size must be >= 1, got {self.cache_size}")
         if self.max_workers < 1:
@@ -534,7 +543,8 @@ class NCEngine:
         the backend that scales *distinct*-query throughput with cores
         (see :mod:`repro.service.workers`).
     seed:
-        Base seed mixed into the per-request deterministic RNG derivation.
+        Seeds the engine's own randomness: trace head-sampling decisions
+        and crash-retry backoff jitter. Answers draw no randomness.
     request_timeout:
         Default per-request deadline in seconds (``None`` = no deadline).
         Per-call ``timeout`` arguments override it; expiry raises
@@ -585,24 +595,6 @@ class NCEngine:
             # raise TypeError from the dataclass constructor, as before.
             config = EngineConfig(**kwargs)
         self.config = config
-        context_size = config.context_size
-        alpha = config.alpha
-        damping = config.damping
-        iterations = config.iterations
-        discriminator_params = config.discriminator_params
-        excluded_labels = config.excluded_labels
-        include_inverse_labels = config.include_inverse_labels
-        none_bucket = config.none_bucket
-        cache_size = config.cache_size
-        max_workers = config.max_workers
-        executor = config.executor
-        seed = config.seed
-        request_timeout = config.request_timeout
-        max_pending = config.max_pending
-        retries = config.retries
-        retry_backoff = config.retry_backoff
-        breaker_threshold = config.breaker_threshold
-        breaker_reset_s = config.breaker_reset_s
         self._graph = graph
         #: A frozen graph (``SnapshotGraphView`` over an mmapped snapshot
         #: file or an attached shm segment) never mutates: the engine pins
@@ -610,18 +602,18 @@ class NCEngine:
         #: disk-backed view in process mode — ships workers the snapshot
         #: *path* instead of publishing a redundant shm copy.
         self._frozen = bool(getattr(graph, "frozen", False))
-        self.context_size = context_size
-        self.alpha = alpha
-        self.damping = damping
-        self.iterations = iterations
-        self._discriminator_params = dict(discriminator_params or {})
-        self._discriminator_fingerprint = tuple(
-            sorted(self._discriminator_params.items())
+        #: The served pipeline's policy, passed to ``answer_batch`` by both
+        #: executors; its discriminator params also key the result cache.
+        self._pipeline = WorkerConfig(
+            damping=config.damping,
+            iterations=config.iterations,
+            excluded_labels=config.excluded_labels,
+            include_inverse_labels=config.include_inverse_labels,
+            none_bucket=config.none_bucket,
+            discriminator_params=tuple(
+                sorted((config.discriminator_params or {}).items())
+            ),
         )
-        self._excluded_labels = excluded_labels
-        self._include_inverse_labels = include_inverse_labels
-        self._none_bucket = none_bucket
-        self._seed = seed
         self._started_monotonic = time.monotonic()
         self.snapshot_source = config.snapshot_source or (
             "snapshot" if self._frozen else "live-graph"
@@ -633,46 +625,33 @@ class NCEngine:
             sample_rate=config.trace_sample_rate,
             slow_query_ms=config.slow_query_ms,
             capacity=config.trace_buffer,
-            seed=seed ^ 0x7ACE,
+            seed=config.seed ^ 0x7ACE,
         )
         self._cache = ResultCache(
-            maxsize=cache_size, on_event=self.metrics.cache_event
+            maxsize=config.cache_size, on_event=self.metrics.cache_event
         )
         # In process mode with micro-batching, the thread pool only parks
         # dispatching threads while their batch members wait on workers —
         # widen it so a full batch per worker can be in flight at once
         # (otherwise the dispatch layer itself would cap batch sizes at
         # max_workers).
-        dispatch_width = max_workers
-        if executor == "process" and config.max_batch > 1:
-            dispatch_width = max_workers * config.max_batch
+        dispatch_width = config.max_workers
+        if config.executor == "process" and config.max_batch > 1:
+            dispatch_width = config.max_workers * config.max_batch
         self._executor = ThreadPoolExecutor(
             max_workers=dispatch_width, thread_name_prefix="nc-query"
         )
-        self.max_workers = max_workers
-        self.executor = executor
+        self.executor = config.executor
         self._pool: ProcessWorkerPool | None = None
         self._pool_lock = threading.Lock()
-        self._worker_config = WorkerConfig(
-            damping=self.damping,
-            iterations=self.iterations,
-            excluded_labels=self._excluded_labels,
-            include_inverse_labels=self._include_inverse_labels,
-            none_bucket=self._none_bucket,
-            discriminator_params=self._discriminator_fingerprint,
-        )
         self._pin_lock = threading.Lock()
         self._pinned: _PinnedState | None = None
         self._flight_lock = threading.Lock()
         self._inflight: dict[tuple, Future] = {}
-        self.request_timeout = request_timeout
-        self._max_pending = max_pending
-        self._retries = retries
-        self._retry_backoff = retry_backoff
-        self._retry_rng = random.Random(seed ^ 0x5EED_BACC)
+        self._retry_rng = random.Random(config.seed ^ 0x5EED_BACC)
         self._retry_rng_lock = threading.Lock()
         self._breaker = CircuitBreaker(
-            threshold=breaker_threshold, reset_s=breaker_reset_s
+            threshold=config.breaker_threshold, reset_s=config.breaker_reset_s
         )
         self._requests = 0
         self._hits = 0
@@ -800,7 +779,7 @@ class NCEngine:
             with self._pool_lock:
                 if self._pool is None:
                     self._pool = ProcessWorkerPool(
-                        self.max_workers,
+                        self.config.max_workers,
                         batch_window_ms=self.config.batch_window_ms,
                         max_batch=self.config.max_batch,
                         on_event=self.metrics.worker_event,
@@ -837,8 +816,8 @@ class NCEngine:
             try:
                 selector = RandomWalkContext(
                     self._graph,
-                    damping=self.damping,
-                    iterations=self.iterations,
+                    damping=self.config.damping,
+                    iterations=self.config.iterations,
                     pin=True,
                 )
                 # Freeze the transition matrix in the parent — thread mode
@@ -887,8 +866,8 @@ class NCEngine:
         snapshot = graph.compiled()
         selector = RandomWalkContext(
             graph,
-            damping=self.damping,
-            iterations=self.iterations,
+            damping=self.config.damping,
+            iterations=self.config.iterations,
             pin=True,
         )
         attached = getattr(graph, "_attached", None)
@@ -1088,12 +1067,6 @@ class NCEngine:
         )
         return tuple(sorted(set(resolved)))
 
-    def _rng_seed(self, key: tuple) -> int:
-        """A deterministic 63-bit seed derived from the cache key + base seed."""
-        material = repr((key[1:], self._seed)).encode()  # version-independent
-        digest = hashlib.blake2b(material, digest_size=8).digest()
-        return int.from_bytes(digest, "big") >> 1
-
     def _compute(self, key: tuple, query_ids: tuple[int, ...], k: int, alpha: float,
                  state: _PinnedState, deadline: "float | None" = None,
                  trace=None) -> FindNCResult:
@@ -1115,11 +1088,11 @@ class NCEngine:
             started = time.perf_counter()
             if self.executor == "process":
                 result = self._compute_remote(
-                    key, query_ids, k, alpha, state, deadline,
+                    query_ids, k, alpha, state, deadline,
                     trace=trace, trace_span=compute_span,
                 )
             else:
-                result = self._compute_local(key, query_ids, k, alpha, state)
+                result = self._answer_in_thread(query_ids, k, alpha, state)
             self._cache.put(key, result)
             with self._flight_lock:
                 self._computed += 1
@@ -1147,37 +1120,37 @@ class NCEngine:
             # swapped-out pin triggers its retirement.
             state.lifecycle.release()
 
-    def _compute_local(self, key: tuple, query_ids: tuple[int, ...], k: int,
-                       alpha: float, state: _PinnedState) -> FindNCResult:
-        """Run the pipeline on the calling executor thread (thread backend)."""
-        faults.fire("engine.slow")  # chaos hook: the rule's delay applies here
-        discriminator = MultinomialDiscriminator(
-            alpha=alpha,
-            rng=self._rng_seed(key),
-            **self._discriminator_params,
-        )
-        finder = FindNC(
-            self._graph,
-            context_selector=state.selector,
-            discriminator=discriminator,
-            context_size=k,
-            excluded_labels=self._excluded_labels,
-            include_inverse_labels=self._include_inverse_labels,
-            none_bucket=self._none_bucket,
-            entity_index=state.entity_index,
-        )
-        return finder.run(query_ids, snapshot=state.snapshot)
+    def _answer_in_thread(self, query_ids: tuple[int, ...], k: int, alpha: float,
+                          state: _PinnedState) -> FindNCResult:
+        """Answer on the calling executor thread: a batch of one.
 
-    def _compute_remote(self, key: tuple, query_ids: tuple[int, ...], k: int,
+        The thread executor's path and the process executor's degraded
+        fallback; a worker answers its messages with the same
+        :func:`~repro.core.findnc.answer_batch`.
+        """
+        faults.fire("engine.slow")  # chaos hook: the rule's delay applies here
+        (answer,) = answer_batch(
+            self._graph,
+            state.snapshot,
+            state.selector,
+            self._pipeline,
+            [(query_ids, k, alpha)],
+        )
+        if isinstance(answer, BaseException):
+            raise answer
+        return answer
+
+    def _compute_remote(self, query_ids: tuple[int, ...], k: int,
                         alpha: float, state: _PinnedState,
                         deadline: "float | None" = None,
                         trace=None, trace_span=None) -> FindNCResult:
         """Dispatch the computation to the worker pool (process backend).
 
-        The RNG seed derives from the cache key exactly as in the local
-        path, and the worker replicates :meth:`_compute_local`'s
-        construction, so both backends return identical results — which
-        is also what makes the failure handling here safe:
+        The worker answers through the same
+        :func:`~repro.core.findnc.answer_batch` as
+        :meth:`_answer_in_thread`, so both backends return identical
+        results — which is also what makes the failure handling here
+        safe:
 
         * a **stale segment** (retired between dispatch and the
           worker's attach — a writer or hot swap raced the request) is
@@ -1195,8 +1168,8 @@ class NCEngine:
         request's whole remaining budget.
         """
         pool = self._worker_pool()
-        attempts = self._retries + 1
-        backoff = self._retry_backoff
+        attempts = self.config.retries + 1
+        backoff = self.config.retry_backoff
         last_crash: "WorkerCrashError | None" = None
         for attempt in range(attempts):
             shared = state.shared
@@ -1210,8 +1183,7 @@ class NCEngine:
                     query_ids=query_ids,
                     context_size=k,
                     alpha=alpha,
-                    rng_seed=self._rng_seed(key),
-                    config=self._worker_config,
+                    config=self._pipeline,
                     deadline=deadline,
                     trace=trace,
                     trace_span=trace_span,
@@ -1287,7 +1259,7 @@ class NCEngine:
             else None
         )
         try:
-            return self._compute_local(key, query_ids, k, alpha, state)
+            return self._answer_in_thread(query_ids, k, alpha, state)
         finally:
             if fallback_span is not None:
                 fallback_span.end()
@@ -1326,9 +1298,14 @@ class NCEngine:
         if self._closed:
             raise RuntimeError("engine is closed")
         if timeout is None:
-            timeout = self.request_timeout
+            timeout = self.config.request_timeout
         elif timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
+        k = context_size if context_size is not None else self.config.context_size
+        a = alpha if alpha is not None else self.config.alpha
+        # Same check, same 400, on either executor — before any cache
+        # lookup or dispatch could turn it into a worker error.
+        _check_overrides(k, a)
         deadline = time.monotonic() + timeout if timeout is not None else None
         # Hold the pin for the request's whole lifetime (resolution may
         # still lazily read the pinned view's name table): a concurrent
@@ -1361,14 +1338,12 @@ class NCEngine:
                     fresh.lifecycle.acquire()
                     state.lifecycle.release()
                     state = fresh
-            k = context_size if context_size is not None else self.context_size
-            a = alpha if alpha is not None else self.alpha
             key = (
                 state.snapshot.version,
                 frozenset(query_ids),
                 k,
                 a,
-                self._discriminator_fingerprint,
+                self._pipeline.discriminator_params,
             )
             self.metrics.engine_requests.inc(executor=self.executor)
             if trace is not None:
@@ -1391,8 +1366,8 @@ class NCEngine:
                         trace.root.set(cache="coalesced")
                     return existing, False, True, state.snapshot.version
                 if (
-                    self._max_pending is not None
-                    and len(self._inflight) >= self._max_pending
+                    self.config.max_pending is not None
+                    and len(self._inflight) >= self.config.max_pending
                 ):
                     self._shed += 1
                     self.metrics.shed.inc()
@@ -1400,7 +1375,7 @@ class NCEngine:
                         trace.root.set(shed=True)
                     raise EngineSaturatedError(
                         f"engine is saturated: {len(self._inflight)} pending "
-                        f"computations (max_pending={self._max_pending})",
+                        f"computations (max_pending={self.config.max_pending})",
                         retry_after=1.0,
                     )
                 if trace is not None:
@@ -1438,7 +1413,7 @@ class NCEngine:
         """
         started = time.perf_counter()
         if timeout is None:
-            timeout = self.request_timeout
+            timeout = self.config.request_timeout
         deadline = time.monotonic() + timeout if timeout is not None else None
         future, cached, coalesced, version = self.submit(
             query, context_size=context_size, alpha=alpha, timeout=timeout,
@@ -1563,7 +1538,7 @@ class NCEngine:
             repins=self._repins,
             pinned_version=pinned.snapshot.version if pinned else None,
             inflight=inflight,
-            max_workers=self.max_workers,
+            max_workers=self.config.max_workers,
             executor=self.executor,
             cache=self._cache.stats(),
             workers=pool.stats().as_dict() if pool is not None else None,

@@ -60,6 +60,7 @@ import sys
 import threading
 import time
 from collections import deque
+from collections.abc import Iterable
 
 #: ``version-traceid-parentid-flags``, lowercase hex per the W3C spec.
 _TRACEPARENT_RE = re.compile(
@@ -453,35 +454,47 @@ class Tracer:
 class WorkerSpanRecorder:
     """Worker-process-side span recording as offsets from a local origin.
 
-    Created once per received task/batch message; spans are exported as
+    Created once per received batch message; spans are exported as
     plain dicts (``{"name", "start", "end", "attrs"}`` with nanosecond
     offsets from the message-receipt origin) that ride back to the
     parent inside the result payload. Ids are assigned parent-side at
     stitch time, so nothing here needs to be globally unique.
+
+    A span recorded with ``members`` (batch member indices) belongs to
+    those members only; ``export(member)`` returns one member's spans
+    plus every message-level (``members=None``) span.
     """
 
     __slots__ = ("origin_ns", "_spans")
 
     def __init__(self) -> None:
         self.origin_ns = time.monotonic_ns()
-        self._spans: "list[tuple[str, int, int, dict]]" = []
+        self._spans: "list[tuple[str, int, int, dict, frozenset | None]]" = []
 
     def now(self) -> int:
         """Nanoseconds since this recorder's origin."""
         return time.monotonic_ns() - self.origin_ns
 
     def record(
-        self, name: str, start_off: int, end_off: "int | None" = None, **attrs: object
+        self,
+        name: str,
+        start_off: int,
+        end_off: "int | None" = None,
+        *,
+        members: "Iterable[int] | None" = None,
+        **attrs: object,
     ) -> None:
         """Record one finished span from explicit offsets."""
         end = end_off if end_off is not None else self.now()
-        self._spans.append((name, start_off, end, dict(attrs)))
+        owners = frozenset(members) if members is not None else None
+        self._spans.append((name, start_off, end, dict(attrs), owners))
 
-    def export(self) -> "list[dict]":
-        """The recorded spans as picklable offset dicts."""
+    def export(self, member: "int | None" = None) -> "list[dict]":
+        """The recorded spans (``member``'s share only, if given) as dicts."""
         return [
             {"name": name, "start": start, "end": end, "attrs": attrs}
-            for name, start, end, attrs in self._spans
+            for name, start, end, attrs, owners in self._spans
+            if member is None or owners is None or member in owners
         ]
 
 

@@ -9,31 +9,35 @@ snapshot published by :mod:`repro.parallel.shm`:
 * the engine (parent) keeps everything stateful: HTTP serving, name
   resolution, the version-keyed result cache, single-flight coalescing,
   and segment publication;
-* workers receive ``(job id, snapshot header, resolved query ids,
-  parameters)`` tuples — a few hundred bytes — and attach the snapshot
-  **once per graph version** (an shm segment for live-graph serving, an
-  mmapped snapshot file for ``repro serve --snapshot``), adopting the
-  published frozen PPR transition CSR zero-copy (rebuilding it only when
-  the publisher did not share one); per-request cost is one small task
-  pickle and one result pickle, never the graph;
+* workers receive :class:`WorkerBatchTask` messages — job ids, the
+  snapshot header, resolved query ids and parameters, a few hundred bytes
+  per member — and attach the snapshot **once per graph version** (an
+  shm segment for live-graph serving, an mmapped snapshot file for
+  ``repro serve --snapshot``), adopting the published frozen PPR
+  transition CSR zero-copy (rebuilding it only when the publisher did not
+  share one); per-request cost is a small task pickle and a result
+  pickle, never the graph;
 * dispatch is round-robin over per-worker task queues, results flow back
   over one shared queue drained by a collector thread that resolves the
   parent-side jobs.
 
-Micro-batching (``max_batch > 1``): instead of sending each task the
-moment ``run`` is called, tasks queue in a parent-side pending deque and a
-dispatcher thread drains them into bounded micro-batches — up to
-``max_batch`` tasks pinned to the *same* snapshot segment, gathered for at
-most ``batch_window_ms``. A whole batch ships as one
-:class:`WorkerBatchTask` pickle, the worker answers every member's context
-search with a single shared multi-column power iteration
-(:meth:`~repro.core.context.RandomWalkContext.select_many`), and all
-member results return as one list message — per-step sparse-matmat cost
-and result-transport overhead are amortized across the batch. Results are
-bit-identical to per-task execution (the differential suite in
-``tests/test_batch_parity.py`` pins this), and a member whose deadline
-expires while waiting in the batch window is shed alone — its batchmates
-still execute.
+Every message is a batch, and a worker answers it with one
+:func:`~repro.core.findnc.answer_batch` call — the same function the
+thread executor calls with a batch of one, so both executors serve the
+same pipeline by construction. Without batching (``max_batch=1``, the
+default) each task ships at once as a batch of one. With ``max_batch >
+1`` tasks queue in a parent-side pending deque and a dispatcher thread
+drains them into bounded micro-batches — up to ``max_batch`` tasks
+sharing one snapshot segment and one config, gathered for at most
+``batch_window_ms``. The worker then answers every member's context
+search with one shared multi-column power iteration and its distribution
+counts with one fused sweep, and all member replies return as one list
+message, so per-step sparse-matmat cost and result-transport overhead
+are amortized across the batch. Answers do not depend on the batch
+composition (``tests/test_batch_parity.py`` pins them to a plain
+``FindNC.run`` per query), and a member whose deadline expires while
+waiting in the batch window is shed alone — its batchmates still
+execute.
 
 Segment lifecycle: the pool refcounts in-flight jobs per segment.
 :meth:`ProcessWorkerPool.retire` unlinks a segment immediately when idle,
@@ -58,13 +62,8 @@ import traceback
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.discrimination import MultinomialDiscriminator
-from repro.core.distributions import sweep_counts_many
-from repro.core.findnc import FindNC, FindNCResult, default_excluded_labels
+from repro.core.findnc import FindNCResult, WorkerConfig, answer_batch
 from repro.errors import DeadlineExceededError
-from repro.graph.labels import is_inverse_label
 from repro.parallel.shm import (
     SharedSnapshot,
     SharedSnapshotHeader,
@@ -74,7 +73,6 @@ from repro.parallel.shm import (
 )
 from repro.service import faults
 from repro.service.tracing import WorkerSpanRecorder
-from repro.walk.kernels import active_kernel
 
 
 def _attach_header(header):
@@ -113,25 +111,6 @@ class RemoteQueryError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class WorkerConfig:
-    """The engine parameters a worker needs to replicate ``_compute``.
-
-    Shipped with every task (it is tiny and immutable); fields mirror the
-    :class:`~repro.service.engine.NCEngine` constructor so thread- and
-    process-backend results are byte-identical for the same request.
-    """
-
-    damping: float
-    iterations: int
-    excluded_labels: "frozenset[str] | None"
-    include_inverse_labels: bool
-    none_bucket: bool
-    #: ``sorted(dict.items())`` of the engine's discriminator params —
-    #: a tuple so the config stays hashable and deterministic.
-    discriminator_params: "tuple[tuple[str, object], ...]"
-
-
-@dataclass(frozen=True)
 class WorkerTask:
     """One FindNC computation order, as pickled onto a worker queue.
 
@@ -139,8 +118,7 @@ class WorkerTask:
     spans for it — the worker then times its phases through a
     :class:`~repro.service.tracing.WorkerSpanRecorder` and ships them
     back by wrapping the ``"ok"`` payload as ``(result, spans)``; with
-    ``trace=None`` the payload is the bare result and the worker records
-    nothing.
+    ``trace=None`` the payload is the bare result.
     """
 
     job_id: int
@@ -148,257 +126,63 @@ class WorkerTask:
     query_ids: "tuple[int, ...]"
     context_size: int
     alpha: float
-    rng_seed: int
     config: WorkerConfig
     trace: "str | None" = None
 
 
 @dataclass(frozen=True)
 class WorkerBatchTask:
-    """A micro-batch of tasks pinned to one snapshot segment.
+    """The one worker message: tasks sharing a snapshot segment and config.
 
-    All members share ``members[0].header`` (the dispatcher groups by
-    segment), so the worker attaches once and answers every member's
-    context search with a single shared power-iteration sweep.
+    The dispatcher groups by ``(segment, config)`` (an unbatched pool
+    sends batches of one), so the worker attaches once and answers every
+    member with a single :func:`~repro.core.findnc.answer_batch` call.
     """
 
     members: "tuple[WorkerTask, ...]"
 
 
-def _execute_task(
+def _answer(
     view: SnapshotGraphView,
-    selector,
-    task: WorkerTask,
-    context=None,
-    sweep_cache=None,
-) -> FindNCResult:
-    """Run one FindNC computation against the attached snapshot view.
-
-    Mirrors ``NCEngine._compute`` exactly — same discriminator
-    construction, same pinned-snapshot ``FindNC.run`` — so a process
-    worker and a parent thread produce identical results for one task.
-    ``context`` injects a precomputed
-    :class:`~repro.core.context.ContextResult` (the micro-batch shared
-    phase); ``FindNC.run`` skips its own selection when one is given.
-    ``sweep_cache`` likewise injects the batch's fused distribution
-    counters (see :func:`~repro.core.distributions.sweep_counts_many`).
-    """
-    config = task.config
-    discriminator = MultinomialDiscriminator(
-        alpha=task.alpha,
-        rng=task.rng_seed,
-        **dict(config.discriminator_params),
-    )
-    finder = FindNC(
-        view,
-        context_selector=selector,
-        discriminator=discriminator,
-        context_size=task.context_size,
-        excluded_labels=config.excluded_labels,
-        include_inverse_labels=config.include_inverse_labels,
-        none_bucket=config.none_bucket,
-    )
-    return finder.run(
-        task.query_ids,
-        context=context,
-        snapshot=view._compiled(),  # noqa: SLF001 - pinned per attach
-        sweep_cache=sweep_cache,
-    )
-
-
-def _member_entry(
-    view,
-    selector,
-    task: WorkerTask,
-    context,
-    sweep_cache=None,
-    recorder: "WorkerSpanRecorder | None" = None,
-    shared_spans: "list[dict] | None" = None,
-):
-    """One member's result entry, with per-member error attribution.
-
-    A traced member's ``"ok"`` payload is ``(result, spans)``: the
-    message-level spans (transition adoption), this member's group's
-    shared-phase spans (``shared_spans``: PPR + fused sweep), and one
-    span for this member's own work — ``worker.discriminate`` when the
-    shared phase precomputed its context, ``worker.execute`` when it ran
-    the full pipeline itself (lone task or per-member fallback).
-    """
-    traced = recorder is not None and task.trace is not None
-    try:
-        start = recorder.now() if traced else 0
-        result = _execute_task(view, selector, task, context, sweep_cache)
-        if traced:
-            spans = recorder.export()
-            spans.extend(shared_spans or ())
-            spans.append(
-                {
-                    "name": (
-                        "worker.discriminate"
-                        if context is not None
-                        else "worker.execute"
-                    ),
-                    "start": start,
-                    "end": recorder.now(),
-                    "attrs": {
-                        "queries": len(task.query_ids),
-                        "kernel": active_kernel(),
-                    },
-                }
-            )
-            return (task.job_id, task.header.segment, "ok", (result, spans))
-        return (task.job_id, task.header.segment, "ok", result)
-    except StaleSnapshotError:
-        raise
-    except BaseException as error:  # noqa: BLE001 - forwarded to the parent
-        payload = (repr(error), traceback.format_exc())
-        return (task.job_id, task.header.segment, "error", payload)
-
-
-def _candidate_label_mask(view, compiled, config: WorkerConfig):
-    """Boolean mask over label ids admitting exactly the candidate labels.
-
-    Mirrors ``FindNC._filter_candidates`` for ``config``'s policy: the
-    fused batch sweep drops excluded/inverse labels' edge rows up front
-    (they are often most of the adjacency), and ``FindNC.run`` derives
-    the same candidate list from the masked counters that an unmasked
-    enumeration plus filtering would produce.
-    """
-    excluded = (
-        config.excluded_labels
-        if config.excluded_labels is not None
-        else default_excluded_labels()
-    )
-    table = view._label_table()  # noqa: SLF001 - label ids only grow
-    mask = np.zeros(max(compiled.label_count, 1), dtype=bool)
-    for label_id in range(compiled.label_count):
-        name = table.name(label_id)
-        if name in excluded:
-            continue
-        if not config.include_inverse_labels and is_inverse_label(name):
-            continue
-        mask[label_id] = True
-    return mask
-
-
-def _execute_batch(
-    view,
     selector,
     members: "tuple[WorkerTask, ...]",
     recorder: "WorkerSpanRecorder | None" = None,
 ) -> list:
-    """Run a micro-batch with one shared PPR sweep; per-member entries back.
+    """Answer one batch message as ``(job_id, segment, status, payload)`` replies.
 
-    The shared phase pools every member's personalization columns into a
-    single multi-column power iteration
-    (:meth:`~repro.core.context.RandomWalkContext.select_many`); the
-    per-member discrimination phase then reuses each precomputed context
-    through the same ``FindNC`` construction ``_execute_task`` performs —
-    results are bit-identical to running the members one at a time.
-
-    Attribution stays per member: a member whose discrimination raises
-    gets an ``"error"`` entry without poisoning its batchmates, and if the
-    shared phase itself fails (e.g. one member's query ids are invalid)
-    the group falls back to independent per-member runs so the failure
-    lands only on the members that caused it. ``StaleSnapshotError``
-    propagates — staleness is a property of the shared segment, hence of
-    the whole batch.
+    A member whose computation raised gets an ``"error"`` reply carrying
+    its own traceback; its batchmates are unaffected. A traced member's
+    ``"ok"`` payload is ``(result, spans)``: the message-level spans
+    (segment attach) plus its share of the phase spans.
     """
-    entries: list = []
-    # Members usually share one context size (the engine's is fixed), but
-    # the pool API does not require it — one shared sweep per size.
-    groups: dict[int, list[WorkerTask]] = {}
-    for member in members:
-        groups.setdefault(member.context_size, []).append(member)
-    for context_size, group in groups.items():
-        # Shared-phase spans for this group (PPR + fused sweep) are built
-        # as offset dicts and attached to *every* traced member — each of
-        # them did spend that wall-clock waiting on the shared work.
-        shared_spans: "list[dict]" = []
-        try:
-            ppr_start = recorder.now() if recorder is not None else 0
-            contexts = selector.select_many(
-                [member.query_ids for member in group], context_size
-            )
-            if recorder is not None:
-                shared_spans.append(
-                    {
-                        "name": "worker.ppr",
-                        "start": ppr_start,
-                        "end": recorder.now(),
-                        "attrs": {
-                            "batch_size": len(group),
-                            "context_size": context_size,
-                            "kernel": active_kernel(),
-                        },
-                    }
-                )
-            # Second shared pass: sweep every member's query and context
-            # sets for the distribution builder in one fused gather.
-            # Query keys are deduped order-preserving, matching what
-            # ``FindNC.resolve_query`` derives from the (already
-            # id-resolved) task ids, so ``run`` gets cache hits.
-            node_sets = [
-                tuple(dict.fromkeys(member.query_ids)) for member in group
-            ] + [tuple(context.nodes) for context in contexts]
-            compiled = view._compiled()  # noqa: SLF001 - pinned per attach
-            # When the whole group shares one candidate-label policy
-            # (the engine ships a uniform config), the sweep can drop
-            # excluded/inverse labels' rows before sorting. Mixed
-            # policies just sweep unmasked — slower, never wrong.
-            policies = {
-                (member.config.excluded_labels, member.config.include_inverse_labels)
-                for member in group
-            }
-            label_mask = (
-                _candidate_label_mask(view, compiled, group[0].config)
-                if len(policies) == 1
-                else None
-            )
-            sweep_start = recorder.now() if recorder is not None else 0
-            sweeps = sweep_counts_many(compiled, node_sets, label_mask)
-            sweep_cache = dict(zip(node_sets, sweeps))
-            if recorder is not None:
-                shared_spans.append(
-                    {
-                        "name": "worker.sweep",
-                        "start": sweep_start,
-                        "end": recorder.now(),
-                        "attrs": {
-                            "batch_size": len(group),
-                            "node_sets": len(node_sets),
-                            "kernel": active_kernel(),
-                        },
-                    }
-                )
-        except StaleSnapshotError:
-            raise
-        except Exception:
-            for member in group:
-                entries.append(
-                    _member_entry(view, selector, member, None, recorder=recorder)
-                )
-            continue
-        for member, context in zip(group, contexts):
-            entries.append(
-                _member_entry(
-                    view,
-                    selector,
-                    member,
-                    context,
-                    sweep_cache,
-                    recorder=recorder,
-                    shared_spans=shared_spans,
-                )
-            )
-    return entries
+    answers = answer_batch(
+        view,
+        view._compiled(),  # noqa: SLF001 - pinned per attach
+        selector,
+        members[0].config,
+        [(member.query_ids, member.context_size, member.alpha) for member in members],
+        recorder,
+    )
+    replies = []
+    for index, (member, answer) in enumerate(zip(members, answers)):
+        if isinstance(answer, BaseException):
+            status = "error"
+            payload = (repr(answer), "".join(traceback.format_exception(answer)))
+        else:
+            status = "ok"
+            payload = answer
+            if recorder is not None and member.trace is not None:
+                payload = (answer, recorder.export(index))
+        replies.append((member.job_id, member.header.segment, status, payload))
+    return replies
 
 
 def _worker_main(worker_index: int, task_queue, result_queue) -> None:
     """The worker process loop: attach-per-version, compute-per-task.
 
-    Messages back to the parent are ``(job_id, segment, status, payload)``
-    with status ``"ok"`` (payload: the pickled
+    Each :class:`WorkerBatchTask` is answered with one list message of
+    ``(job_id, segment, status, payload)`` replies, one per member, with
+    status ``"ok"`` (payload: the pickled
     :class:`~repro.core.findnc.FindNCResult`), ``"stale"`` (the segment
     was unlinked before this worker could attach) or ``"error"``
     (payload: ``(repr, traceback string)``).
@@ -415,19 +199,18 @@ def _worker_main(worker_index: int, task_queue, result_queue) -> None:
     selector = None
 
     while True:
-        message: "WorkerTask | WorkerBatchTask | None" = task_queue.get()
+        message: "WorkerBatchTask | None" = task_queue.get()
         if message is None:
             break
         if faults.fire("worker.crash"):
             # Simulated hard crash mid-job: no result message, no cleanup
-            # — exactly what the parent's watchdog must recover from. For
-            # a batch message the whole batch is lost; every member's
-            # watchdog surfaces the crash and the engine's per-request
-            # retries re-dispatch (and re-batch) them independently.
+            # — exactly what the parent's watchdog must recover from. The
+            # whole batch is lost; every member's watchdog surfaces the
+            # crash and the engine's per-request retries re-dispatch (and
+            # re-batch) them independently.
             os._exit(1)
         faults.fire("worker.slow")  # the rule's delay models a hung worker
-        batched = isinstance(message, WorkerBatchTask)
-        members = message.members if batched else (message,)
+        members = message.members
         task = members[0]
         segment = task.header.segment
         # One recorder per received message: its origin (message receipt)
@@ -481,48 +264,41 @@ def _worker_main(worker_index: int, task_queue, result_queue) -> None:
                         segment=segment,
                         shared_transition=shared_transition is not None,
                     )
-            if batched:
-                # One list message for the whole batch: result pickling
-                # and queue transport are paid once per batch, not per
-                # member.
-                result_queue.put(_execute_batch(view, selector, members, recorder))
-            else:
-                # Same reply shapes as before: _member_entry produces the
-                # identical ok/error tuples the inline path did, plus the
-                # (result, spans) payload wrap for traced tasks.
-                result_queue.put(
-                    _member_entry(view, selector, task, None, recorder=recorder)
-                )
+            # One list message for the whole batch: result pickling and
+            # queue transport are paid once per batch, not per member.
+            result_queue.put(_answer(view, selector, members, recorder))
         except StaleSnapshotError:
             attached = None
             attached_segment = None
             view = None
             selector = None
-            if batched:
-                result_queue.put(
-                    [(member.job_id, segment, "stale", None) for member in members]
-                )
-            else:
-                result_queue.put((task.job_id, segment, "stale", None))
+            result_queue.put(
+                [(member.job_id, segment, "stale", None) for member in members]
+            )
         except BaseException as error:  # noqa: BLE001 - forwarded to the parent
             payload = (repr(error), traceback.format_exc())
             try:
-                replies = [
-                    (member.job_id, segment, "error", payload) for member in members
-                ]
-                result_queue.put(replies if batched else replies[0])
+                result_queue.put(
+                    [(member.job_id, segment, "error", payload) for member in members]
+                )
             except Exception:  # pragma: no cover - unpicklable payload
-                replies = [
-                    (member.job_id, segment, "error", (repr(error), ""))
-                    for member in members
-                ]
-                result_queue.put(replies if batched else replies[0])
+                result_queue.put(
+                    [
+                        (member.job_id, segment, "error", (repr(error), ""))
+                        for member in members
+                    ]
+                )
 
     # Orderly shutdown: release the mapping before the interpreter exits.
     selector = None
     view = None
     if attached is not None:
         attached.close()
+
+
+def _batch_key(task: WorkerTask) -> tuple:
+    """What batchmates share: one snapshot segment and one pipeline config."""
+    return (task.header.segment, task.config)
 
 
 class _Job:
@@ -604,9 +380,9 @@ class ProcessWorkerPool:
 
     Micro-batching: with ``max_batch > 1``, ``run`` enqueues tasks onto a
     pending deque and a dispatcher thread groups them by snapshot segment
-    into batches of up to ``max_batch``, waiting at most
+    and config into batches of up to ``max_batch``, waiting at most
     ``batch_window_ms`` for stragglers once a task is pending. The default
-    (``max_batch=1``) keeps the original direct per-task dispatch path.
+    (``max_batch=1``) dispatches each task directly as a batch of one.
     ``on_batch`` is an optional callback ``(size: int)`` fired per
     dispatched batch (the engine wires it to a batch-size histogram).
     """
@@ -791,7 +567,6 @@ class ProcessWorkerPool:
         query_ids: "tuple[int, ...]",
         context_size: int,
         alpha: float,
-        rng_seed: int,
         config: WorkerConfig,
         deadline: "float | None" = None,
         trace=None,
@@ -845,7 +620,6 @@ class ProcessWorkerPool:
                 query_ids=tuple(query_ids),
                 context_size=context_size,
                 alpha=alpha,
-                rng_seed=rng_seed,
                 config=config,
                 trace=trace.trace_id if trace is not None else None,
             )
@@ -870,7 +644,7 @@ class ProcessWorkerPool:
         self._emit("dispatch")
         if not batching:
             try:
-                self._task_queues[slot].put(task)
+                self._task_queues[slot].put(WorkerBatchTask(members=(task,)))
             except BaseException:
                 # put() pickles the task on the calling thread; a failure
                 # here (e.g. an unpicklable discriminator param) must give
@@ -1016,17 +790,17 @@ class ProcessWorkerPool:
             job.event.set()
 
     def _dispatch_batches(self) -> None:
-        """Drain pending tasks into segment-grouped micro-batches.
+        """Drain pending tasks into ``(segment, config)``-grouped micro-batches.
 
         Runs on the dedicated dispatcher thread (only started when
         ``max_batch > 1``). Once a task is pending, up to
-        ``batch_window_ms`` is spent gathering same-segment companions —
-        the window caps queueing latency, ``max_batch`` caps batch size.
+        ``batch_window_ms`` is spent gathering same-key companions — the
+        window caps queueing latency, ``max_batch`` caps batch size.
         Entries whose job id is no longer registered were shed by their
         caller's deadline while queued; they are dropped member-by-member
-        without disturbing the rest of the batch. Tasks pinned to a
-        different segment than the batch head keep their arrival order
-        and form the next batch.
+        without disturbing the rest of the batch. Tasks with a different
+        key than the batch head keep their arrival order and form the
+        next batch.
 
         Graceful drain: ``close()`` sets ``_closed`` and joins this
         thread *before* sending worker shutdown sentinels. Observing
@@ -1050,12 +824,8 @@ class ProcessWorkerPool:
                     self._pending = live
                     if not live:
                         break
-                    head_segment = live[0][1].header.segment
-                    ready = sum(
-                        1
-                        for _, task in live
-                        if task.header.segment == head_segment
-                    )
+                    head = _batch_key(live[0][1])
+                    ready = sum(1 for _, task in live if _batch_key(task) == head)
                     remaining = window_until - time.monotonic()
                     if ready >= self._max_batch or remaining <= 0 or self._closed:
                         break
@@ -1064,12 +834,9 @@ class ProcessWorkerPool:
                     continue
                 picked: list = []
                 kept: "deque[tuple[int, WorkerTask]]" = deque()
-                head_segment = self._pending[0][1].header.segment
+                head = _batch_key(self._pending[0][1])
                 for entry in self._pending:
-                    if (
-                        len(picked) < self._max_batch
-                        and entry[1].header.segment == head_segment
-                    ):
+                    if len(picked) < self._max_batch and _batch_key(entry[1]) == head:
                         picked.append(entry)
                     else:
                         kept.append(entry)
@@ -1091,18 +858,7 @@ class ProcessWorkerPool:
                     self._on_batch(len(picked))
                 except Exception:  # noqa: BLE001 - observability is best-effort
                     pass
-            if len(picked) == 1 and picked[0][1].trace is None:
-                # A lone task ships as a plain WorkerTask: the worker's
-                # single-task path is the batch path's parity oracle, so a
-                # batch of one must be indistinguishable from no batching.
-                # A *traced* lone task takes the batch path anyway — same
-                # bit-identical result (pinned by tests/test_batch_parity)
-                # but with the per-phase PPR/sweep spans recorded.
-                message: "WorkerTask | WorkerBatchTask" = picked[0][1]
-            else:
-                message = WorkerBatchTask(
-                    members=tuple(task for _, task in picked)
-                )
+            message = WorkerBatchTask(members=tuple(task for _, task in picked))
             try:
                 self._task_queues[slot].put(message)
             except BaseException as error:  # noqa: BLE001 - resolve all members
@@ -1117,11 +873,8 @@ class ProcessWorkerPool:
             message = self._result_queue.get()
             if message is None:
                 break
-            # A batch answers with one list of per-member entries (one
-            # pickle for the whole batch); each entry resolves exactly
-            # like a standalone result message.
-            entries = message if isinstance(message, list) else [message]
-            for job_id, segment, status, payload in entries:
+            # Every message is one batch's list of per-member replies.
+            for job_id, segment, status, payload in message:
                 unlink_now: SharedSnapshot | None = None
                 with self._lock:
                     job = self._jobs.pop(job_id, None)

@@ -46,6 +46,7 @@ enumeration (:func:`_iter_compositions`, :func:`compositions_array`);
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import threading
 from collections import Counter
@@ -651,7 +652,8 @@ def multinomial_test(
 
     The fallback (``samples`` draws from ``rng``) is the paper's
     footnote 1; with equal-``pi`` grouping it no longer triggers at the
-    query service's shapes.
+    query service's shapes. Without an ``rng`` it is seeded from a digest
+    of ``(pi, x)``, so its p-value is a function of the test's inputs.
     """
     pi_arr, x_arr = _validate(np.asarray(pi), np.asarray(x))
     n = int(x_arr.sum())
@@ -662,6 +664,9 @@ def multinomial_test(
     result = _exact_validated(pi_arr, x_arr, n, alpha)
     if result is not None:
         return result
+    if rng is None:
+        digest = hashlib.blake2b(pi_arr.tobytes() + x_arr.tobytes(), digest_size=8)
+        rng = int.from_bytes(digest.digest(), "big") >> 1
     return montecarlo_multinomial_test(
         pi_arr, x_arr, alpha=alpha, samples=samples, rng=rng
     )

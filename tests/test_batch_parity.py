@@ -329,7 +329,6 @@ def _run_concurrently(pool: ProcessWorkerPool, jobs: "list[tuple]") -> list:
                 query_ids=query_ids,
                 context_size=3,
                 alpha=0.05,
-                rng_seed=123,
                 config=_config(),
             )
         except Exception as exc:  # pragma: no cover - fails the assert below
@@ -375,7 +374,6 @@ class TestPoolBatchParity:
                         query_ids=q,
                         context_size=3,
                         alpha=0.05,
-                        rng_seed=123,
                         config=_config(),
                     )
                     for q in queries
@@ -410,7 +408,6 @@ class TestPoolBatchParity:
                         query_ids=q,
                         context_size=3,
                         alpha=0.05,
-                        rng_seed=123,
                         config=_config(),
                     )
                     for shared in (first, second)
@@ -450,7 +447,6 @@ class TestPoolBatchParity:
                     query_ids=(1, 2),
                     context_size=3,
                     alpha=0.05,
-                    rng_seed=123,
                     config=_config(),
                 )
                 stats = pool.stats()
@@ -467,3 +463,88 @@ class TestPoolBatchParity:
     def test_rejects_bad_batching_kwargs(self, kwargs):
         with pytest.raises(ValueError):
             ProcessWorkerPool(1, **kwargs)
+
+
+# --------------------------------------------------------------------------
+# The served runner: answer_batch against a plain FindNC.run oracle
+# --------------------------------------------------------------------------
+
+_SERVED: dict = {}
+
+
+def _served(name: str):
+    """A pinned, warmed selector and the compiled snapshot, once per graph."""
+    if name not in _SERVED:
+        graph = _graph(name)
+        selector = RandomWalkContext(graph, pin=True)
+        selector.warm()
+        _SERVED[name] = (selector, graph.compiled())
+    return _SERVED[name]
+
+
+def _oracle(name: str, query_ids, context_size: int, alpha: float):
+    """An independent plain ``FindNC.run``: own selector, nothing injected."""
+    from repro.core.discrimination import MultinomialDiscriminator
+    from repro.core.findnc import FindNC
+
+    graph = _graph(name)
+    finder = FindNC(
+        graph,
+        context_selector=RandomWalkContext(graph),
+        discriminator=MultinomialDiscriminator(alpha=alpha),
+        context_size=context_size,
+    )
+    return finder.run(query_ids)
+
+
+@st.composite
+def served_batches(draw):
+    """1-5 members of width 1-3, context sizes 1-8, alpha in {0.05, 0.1}."""
+    name = draw(st.sampled_from(["figure1", "yago"]))
+    n = _graph(name).node_count
+    members = draw(
+        st.lists(
+            st.tuples(
+                st.lists(
+                    st.integers(min_value=0, max_value=n - 1),
+                    min_size=1,
+                    max_size=3,
+                    unique=True,
+                ).map(lambda ids: tuple(sorted(ids))),
+                st.integers(min_value=1, max_value=8),
+                st.sampled_from([0.05, 0.1]),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    poisoned = draw(st.integers(min_value=0, max_value=len(members)))
+    return name, members, poisoned
+
+
+class TestAnswerBatchOracle:
+    @settings(max_examples=25, deadline=None)
+    @given(served_batches())
+    def test_answer_batch_equals_plain_run(self, case):
+        """Each member's answer is the plain pipeline's, whatever its
+        batchmates; a member with out-of-range ids gets its own error and
+        leaves every batchmate's answer unchanged."""
+        from repro.core.findnc import answer_batch
+
+        name, members, poisoned = case
+        selector, snapshot = _served(name)
+        graph = _graph(name)
+        expected = [_oracle(name, *member) for member in members]
+
+        answers = answer_batch(graph, snapshot, selector, _config(), members)
+        assert len(answers) == len(members)
+        for got, want in zip(answers, expected):
+            assert _payload(got) == _payload(want)
+
+        bad = ((10**9,), members[0][1], 0.05)
+        mixed = members[:poisoned] + [bad] + members[poisoned:]
+        answers = answer_batch(graph, snapshot, selector, _config(), mixed)
+        assert isinstance(answers[poisoned], Exception)
+        rest = answers[:poisoned] + answers[poisoned + 1 :]
+        for got, want in zip(rest, expected):
+            assert _payload(got) == _payload(want)

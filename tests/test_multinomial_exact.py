@@ -211,3 +211,45 @@ class TestTablesAndBudget:
         result = multinomial_test(pi, x, samples=500, rng=1)
         assert result.method == "montecarlo"
         assert ("partitions", 60, 60) not in multinomial._tables._entries
+
+
+class TestMonteCarloDeterminism:
+    def test_fresh_discriminators_agree_on_fallback_p_values(self, monkeypatch):
+        """Without an ``rng`` the fallback seeds itself from ``(pi, x)``, so
+        its p-values depend on the test alone, not on the instance."""
+        from repro.core.context import RandomWalkContext
+        from repro.core.discrimination import MultinomialDiscriminator
+        from repro.core.findnc import FindNC
+        from repro.datasets.figure1 import figure1_graph
+
+        monkeypatch.setattr(multinomial, "_NO_SPLIT_PROFILES", 0)
+        monkeypatch.setattr(multinomial, "_PROFILE_BUDGET", 0)
+        # An empty table cache: shapes earlier tests cached stay exact.
+        monkeypatch.setattr(multinomial, "_tables", multinomial._TableCache())
+        methods: "list[str]" = []
+        fallback = multinomial.montecarlo_multinomial_test
+
+        def spy(*args, **kwargs):
+            result = fallback(*args, **kwargs)
+            methods.append(result.method)
+            return result
+
+        monkeypatch.setattr(multinomial, "montecarlo_multinomial_test", spy)
+        graph = figure1_graph()
+        selector = RandomWalkContext(graph)
+
+        def p_values():
+            finder = FindNC(
+                graph,
+                context_selector=selector,
+                discriminator=MultinomialDiscriminator(),
+                context_size=4,
+            )
+            result = finder.run(["Angela_Merkel", "Barack_Obama"])
+            return [(r.label, r.inst_p_value, r.card_p_value) for r in result.results]
+
+        first = p_values()
+        calls = len(methods)
+        assert calls > 0 and set(methods) == {"montecarlo"}
+        assert p_values() == first
+        assert len(methods) == 2 * calls

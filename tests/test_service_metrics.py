@@ -187,6 +187,11 @@ class TestEngineConfig:
         with pytest.raises(ValueError, match="request_timeout must be > 0"):
             EngineConfig(request_timeout=0)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5])
+    def test_alpha_must_lie_in_the_open_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            EngineConfig(alpha=alpha)
+
     def test_config_and_kwargs_are_mutually_exclusive(self):
         graph = figure1_graph()
         with pytest.raises(ValueError, match="not both"):

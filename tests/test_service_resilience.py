@@ -376,7 +376,6 @@ class TestBatchWindowDeadlines:
                         query_ids=(2,),
                         context_size=3,
                         alpha=0.05,
-                        rng_seed=123,
                         config=_worker_config(),
                     )
 
@@ -392,7 +391,6 @@ class TestBatchWindowDeadlines:
                         query_ids=(3,),
                         context_size=3,
                         alpha=0.05,
-                        rng_seed=123,
                         config=_worker_config(),
                         deadline=time.monotonic() + 0.15,
                     )

@@ -306,6 +306,29 @@ class TestResilienceSurface:
             assert stats["breaker"]["state"] == "open"
 
 
+class TestOverrideValidation:
+    """A bad per-request ``alpha``/``context_size`` is a 400 on every executor."""
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_bad_overrides_are_400_with_one_message(self, executor):
+        engine = NCEngine(
+            figure1_graph(), context_size=3, max_workers=1, executor=executor
+        )
+        bodies = {}
+        with _serving(engine) as server:
+            for params in ("alpha=1.5", "alpha=0", "context_size=0"):
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    _get(server, f"/v1/search?query=1,2&{params}")
+                assert excinfo.value.code == 400
+                bodies[params] = json.loads(excinfo.value.read())
+        assert bodies["alpha=1.5"]["error"] == "alpha must be in (0, 1), got 1.5"
+        assert bodies["alpha=0"]["error"] == "alpha must be in (0, 1), got 0.0"
+        assert bodies["context_size=0"]["error"] == (
+            "context_size must be >= 1, got 0"
+        )
+        assert engine.stats().computed == 0  # rejected before any dispatch
+
+
 class TestGracefulShutdown:
     pytestmark = pytest.mark.slow
 

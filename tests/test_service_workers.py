@@ -56,7 +56,6 @@ class TestProcessWorkerPool:
                 query_ids=(1, 2),
                 context_size=3,
                 alpha=0.05,
-                rng_seed=123,
                 config=_config(),
             )
             assert result.query == (1, 2)
@@ -80,7 +79,6 @@ class TestProcessWorkerPool:
                 query_ids=(1, 2),
                 context_size=3,
                 alpha=0.05,
-                rng_seed=123,
                 config=_config(),
             )
         assert pool.stats().stale_retries == 1
@@ -94,7 +92,6 @@ class TestProcessWorkerPool:
                     query_ids=(10 ** 9,),  # beyond the snapshot: QueryError
                     context_size=3,
                     alpha=0.05,
-                    rng_seed=123,
                     config=_config(),
                 )
         finally:
@@ -128,7 +125,6 @@ class TestWorkerCrash:
                     query_ids=(1, 2),
                     context_size=3,
                     alpha=0.05,
-                    rng_seed=123,
                     config=_config(),
                 )
             # The watchdog respawned the slot: the next job must succeed
@@ -138,7 +134,6 @@ class TestWorkerCrash:
                 query_ids=(1, 2),
                 context_size=3,
                 alpha=0.05,
-                rng_seed=123,
                 config=_config(),
             )
             assert result.query == (1, 2)
@@ -172,7 +167,6 @@ class TestWorkerCrash:
                     query_ids=(1, 2),
                     context_size=3,
                     alpha=0.05,
-                    rng_seed=123,
                     config=_config(),
                 )
             # Surfaced within the kill delay + tick + grace, not the
@@ -189,7 +183,6 @@ class TestWorkerCrash:
                 query_ids=(1, 2),
                 context_size=3,
                 alpha=0.05,
-                rng_seed=123,
                 config=_config(),
             )
             assert result.query == (1, 2)
@@ -220,7 +213,6 @@ class TestWorkerCrash:
                 query_ids=(1, 2),
                 context_size=3,
                 alpha=0.05,
-                rng_seed=123,
                 config=_config(),
             )
 
@@ -262,7 +254,6 @@ class TestPoolDeadlines:
                     query_ids=(1, 2),
                     context_size=3,
                     alpha=0.05,
-                    rng_seed=123,
                     config=_config(),
                     deadline=time.monotonic() - 0.01,
                 )
@@ -280,7 +271,6 @@ class TestPoolDeadlines:
                 query_ids=(1, 2),
                 context_size=3,
                 alpha=0.05,
-                rng_seed=123,
                 config=_config(),
                 deadline=time.monotonic() + 30.0,
             )
@@ -326,7 +316,6 @@ class TestDispatcherDrain:
                         query_ids=(1, 2),
                         context_size=3,
                         alpha=0.05,
-                        rng_seed=123,
                         config=_config(),
                     )
                 )
